@@ -96,7 +96,7 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   // image (rebuilt document, image of a different document) is rejected
   // here with the failing column set named -- not lazily on the first
   // paged query. The digests are computed exactly once per image set
-  // and travel to every session (EvalOptions::doc_digest), so neither
+  // and travel to every session (DatabaseImages::doc_digest), so neither
   // session creation nor the first query repeats the pass.
   if (img->paged_doc != nullptr) {
     if (img->disk == nullptr) {
@@ -345,34 +345,26 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   eval.cost_model = options.hints.cost_model;
   eval.num_threads = options.num_threads;
   eval.backend = options.backend;
-  eval.tag_index = img.tag_index.get();
-  eval.doc_digest = img.doc_digest;
-  // Planner statistics describe the BASE document; under an overlay the
-  // estimator layers merged per-tag counts on top (see MakeEstimator).
-  eval.doc_stats = img.doc_stats.get();
-
-  std::unique_ptr<storage::BufferPool> pool;
-  if (xpath::BackendDispatch::UsesPool(options.backend)) {
-    SJ_RETURN_NOT_OK(xpath::BackendDispatch::WireBackend(
-        &eval, img.paged_doc.get(), img.paged_tags.get(),
-        img.compressed_doc.get(), img.compressed_tags.get()));
-    eval.frag_digest = img.frag_digest;
-    if (options.private_pool_pages > 0) {
-      pool = std::make_unique<storage::BufferPool>(
-          img.disk.get(), options.private_pool_pages);
-      pool->set_prefetch_enabled(prefetch_);
-      eval.pool = pool.get();
-    } else {
-      eval.pool = img.pool.get();
-    }
-  }
+  eval.images.set = &img;
   eval.snapshot_epoch = snap->epoch();
   if (snap->edited()) {
-    eval.overlay = snap->overlay();
+    eval.images.overlay = snap->overlay();
     // The lambda pins the snapshot: the materialized merged table stays
     // valid for as long as any evaluator still holds these options.
     eval.overlay_doc = [snap]() { return snap->MergedDoc(); };
   }
+
+  const xpath::BackendDispatch dispatch(*img.doc, eval);
+  std::unique_ptr<storage::BufferPool> pool;
+  if (dispatch.Pooled()) {
+    if (options.private_pool_pages > 0) {
+      pool = std::make_unique<storage::BufferPool>(
+          img.disk.get(), options.private_pool_pages);
+      pool->set_prefetch_enabled(prefetch_);
+    }
+    eval.images.pool = pool != nullptr ? pool.get() : img.pool.get();
+  }
+  SJ_RETURN_NOT_OK(dispatch.CheckImages());
   *private_pool = std::move(pool);
   return eval;
 }

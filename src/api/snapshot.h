@@ -1,14 +1,15 @@
 // DatabaseImages + DatabaseSnapshot: the MVCC spine of updatable
 // documents.
 //
-// A DatabaseImages is one coherent, immutable set of backend images for
-// one encoded document -- the resident DocTable, the tag fragments and
-// the pool-backed paged/compressed images, exactly what an unedited
-// Database used to own directly. A DatabaseSnapshot stamps a set of
-// images with an epoch and (after edits) a delta overlay: epoch 0 is the
-// pristine open, each EditTxn::Commit publishes epoch+1 over the SAME
-// images with a larger overlay, and Database::Compact() publishes
-// epoch+1 over freshly rebuilt images with no overlay.
+// A DatabaseImages (xpath/image_set.h) is one coherent, immutable set of
+// backend images for one encoded document -- the resident DocTable, the
+// tag fragments and the pool-backed paged/compressed images, exactly
+// what an unedited Database used to own directly. A DatabaseSnapshot
+// stamps a set of images with an epoch and (after edits) a delta
+// overlay: epoch 0 is the pristine open, each EditTxn::Commit publishes
+// epoch+1 over the SAME images with a larger overlay, and
+// Database::Compact() publishes epoch+1 over freshly rebuilt images with
+// no overlay.
 //
 // Snapshots are immutable and shared: every Session::Run pins the
 // current snapshot (shared_ptr), so a commit or compaction concurrent
@@ -21,47 +22,15 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
-#include "core/tag_view.h"
 #include "delta/overlay.h"
 #include "encoding/builder.h"
 #include "encoding/doc_table.h"
-#include "storage/buffer_pool.h"
-#include "storage/compressed_doc.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/result.h"
-#include "xpath/cost_model.h"
+#include "xpath/image_set.h"
 
 namespace sj {
-
-/// \brief One coherent, immutable set of backend images over one encoded
-/// document (see file comment). Members may be null per the open-time
-/// DatabaseOptions, with the same contracts as the Database accessors.
-struct DatabaseImages {
-  std::unique_ptr<DocTable> doc;
-  std::unique_ptr<TagIndex> tag_index;
-  std::unique_ptr<storage::SimulatedDisk> disk;
-  std::unique_ptr<storage::PagedDocTable> paged_doc;
-  std::unique_ptr<storage::PagedTagIndex> paged_tags;
-  std::unique_ptr<storage::CompressedDocTable> compressed_doc;
-  std::unique_ptr<storage::CompressedTagIndex> compressed_tags;
-  /// Internally synchronized; shared by every session on these images.
-  std::unique_ptr<storage::BufferPool> pool;
-  std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
-  /// Planner statistics of `doc` (level histogram, per-tag counts and
-  /// level spreads), collected in one O(doc) pass at image-build time.
-  /// Shared read-only by every session; rebuilt by compaction together
-  /// with the images, so it always describes `doc` exactly.
-  std::unique_ptr<xpath::DocStatistics> doc_stats;
-  /// Pre ranks (in `doc`) of the gathered document elements when the
-  /// images encode a directory collection; empty otherwise.
-  NodeSequence base_document_roots;
-};
 
 /// \brief An epoch-stamped, immutable view of the database: images plus
 /// (possibly) a delta overlay describing edits not yet compacted.

@@ -11,8 +11,8 @@
 // step's node test folded into the scan so no per-node post-filter over
 // resident columns remains. The kernel bodies live in core/axis_impl.h
 // (internal, backend-generic); AxisCursorStep below instantiates them
-// with the in-memory backend, storage::PagedAxisCursorStep with the
-// buffer-pool backend.
+// with the in-memory backend, xpath/backend_dispatch.h with whichever
+// backend a query binds.
 
 #ifndef STAIRJOIN_CORE_AXIS_STEP_H_
 #define STAIRJOIN_CORE_AXIS_STEP_H_

@@ -26,21 +26,32 @@ bool ChunkQueue::Next(size_t* index, size_t* lo, size_t* hi) {
 
 }  // namespace internal
 
+unsigned ParallelWorkers(Axis axis, unsigned num_threads, size_t context_size,
+                         size_t pool_pages) {
+  const bool partitioned =
+      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf ||
+      axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
+  unsigned workers = num_threads;
+  if (pool_pages > 0) {
+    const unsigned budget = static_cast<unsigned>((pool_pages - 1) / 3);
+    workers = std::min(workers, std::max(1u, budget));
+  }
+  if (!partitioned || workers < 2 || context_size < 2) return 1;
+  return workers;
+}
+
 Result<NodeSequence> ParallelStaircaseJoin(const DocTable& doc,
                                            const NodeSequence& context,
                                            Axis axis,
                                            const StaircaseOptions& options,
                                            unsigned num_threads,
                                            JoinStats* stats) {
-  const bool desc =
-      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
-  const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-  if ((!desc && !anc) || num_threads < 2 || context.size() < 2) {
-    return StaircaseJoin(doc, context, axis, options, stats);
-  }
+  const unsigned workers =
+      ParallelWorkers(axis, num_threads, context.size(), /*pool_pages=*/0);
+  if (workers < 2) return StaircaseJoin(doc, context, axis, options, stats);
   return internal::ParallelStaircaseJoinOver(
       [&doc] { return MemoryDocAccessor(doc); }, context, axis, options,
-      num_threads, stats);
+      workers, stats);
 }
 
 }  // namespace sj

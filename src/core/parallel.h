@@ -1,4 +1,4 @@
-// Parallel partitioned staircase join (in-memory backend shim).
+// Parallel partitioned staircase join (in-memory entry point).
 //
 // Section 3.2 of the paper observes that the staircase partitions of the
 // pre/post plane are disjoint and jointly cover all candidate nodes, which
@@ -8,8 +8,9 @@
 //
 // The partitioned driver itself is backend-generic
 // (core/staircase_impl.h); this entry point instantiates it with
-// MemoryDocAccessor, storage/paged_doc.h's ParallelPagedStaircaseJoin
-// with the buffer-pool cursor.
+// MemoryDocAccessor, and xpath/backend_dispatch.h with whichever
+// accessor a query's backend binds. ParallelWorkers below is the one
+// worker-count rule both apply.
 
 #ifndef STAIRJOIN_CORE_PARALLEL_H_
 #define STAIRJOIN_CORE_PARALLEL_H_
@@ -65,12 +66,21 @@ inline constexpr size_t kChunksPerWorker = 4;
 
 }  // namespace internal
 
+/// Workers the partitioned join runs with when `num_threads` are asked
+/// for; 1 means run the serial join. Only the descendant/ancestor
+/// (+ -or-self) axes partition (following/preceding degenerate to one
+/// region query after pruning), and a context of fewer than two nodes
+/// has nothing to split. `pool_pages` > 0 is the capacity of the buffer
+/// pool the workers pin: each worker holds up to three pages (the
+/// staircase kernels read only post/kind/level) and the driver's pruning
+/// accessor one more, so no worker can starve the pool.
+unsigned ParallelWorkers(Axis axis, unsigned num_threads, size_t context_size,
+                         size_t pool_pages);
+
 /// \brief StaircaseJoin distributed over `num_threads` workers.
 ///
 /// Semantics and result are identical to StaircaseJoin (same options
-/// contract). Supported for the descendant/ancestor (+ -or-self) axes;
-/// following/preceding degenerate to one region query after pruning and are
-/// delegated to the serial join. num_threads < 2 also delegates.
+/// contract). Runs serially whenever ParallelWorkers says so.
 Result<NodeSequence> ParallelStaircaseJoin(const DocTable& doc,
                                            const NodeSequence& context,
                                            Axis axis,

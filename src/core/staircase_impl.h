@@ -256,8 +256,9 @@ void MergeLostAttributeSelves(A& acc, const NodeSequence& context,
 }
 
 /// The staircase join over any backend: validation, pruning, partition
-/// scans, -or-self repair, stats. The public StaircaseJoin and
-/// PagedStaircaseJoin are thin shims around this function.
+/// scans, -or-self repair, stats. The public StaircaseJoin instantiates
+/// it with MemoryDocAccessor; queries reach it through BackendDispatch
+/// (xpath/backend_dispatch.h) with whichever accessor they bind.
 template <DocAccessor A>
 Result<NodeSequence> StaircaseJoinOver(A& acc, const NodeSequence& context,
                                        Axis axis,

@@ -60,9 +60,9 @@ class TagIndex {
 /// \brief Staircase join over a tag view: evaluates `context/axis::tag` in
 /// one pass over the (usually tiny) projection instead of the document.
 ///
-/// A thin shim over the backend-generic fragment join
-/// (core/fragment_impl.h) instantiated with MemoryFragmentCursor; the
-/// paged twin is storage::PagedStaircaseJoinView.
+/// The backend-generic fragment join (core/fragment_impl.h) instantiated
+/// with MemoryFragmentCursor; queries on the pool-backed backends run the
+/// same body over their fragment cursors via xpath/backend_dispatch.h.
 ///
 /// Supports the staircase axes. Skipping uses binary search on the
 /// projection's pre column instead of pre-rank arithmetic. The context is

@@ -43,6 +43,7 @@
 #define STAIRJOIN_CORE_TWIG_IMPL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/doc_accessor.h"
@@ -68,17 +69,21 @@ inline void TwigPopEnded(std::vector<TwigStackEntry>* stack, uint32_t post) {
 }
 
 /// The holistic twig join over any backend pair (see file comment).
-/// `cursors[i]` is the fragment of `levels[i]`; both have size k >= 1.
-/// Cursors are borrowed and must start at slot 0 / a fresh state.
-template <FragmentCursor F, DocAccessor A>
-Result<NodeSequence> TwigJoinOver(const std::vector<F*>& cursors, A& acc,
+/// `make_cursor(tag)` returns a fresh FragmentCursor over `tag`'s
+/// fragment; the join builds one per level (k = levels.size() >= 1) and
+/// owns them on the heap -- pool-backed cursors hold non-movable pinned
+/// state, and guaranteed elision constructs them in place.
+template <typename MakeCursor, DocAccessor A>
+Result<NodeSequence> TwigJoinOver(MakeCursor&& make_cursor, A& acc,
                                   const NodeSequence& context,
                                   const std::vector<TwigLevel>& levels,
                                   const StaircaseOptions& options,
                                   JoinStats* stats,
                                   std::vector<TwigLevelStats>* level_stats) {
-  const size_t k = cursors.size();
-  if (k == 0 || levels.size() != k) {
+  using F = decltype(make_cursor(TagId{}));
+  static_assert(FragmentCursor<F>);
+  const size_t k = levels.size();
+  if (k == 0) {
     return Status::InvalidArgument("twig join needs one cursor per level");
   }
   for (const TwigLevel& level : levels) {
@@ -88,6 +93,11 @@ Result<NodeSequence> TwigJoinOver(const std::vector<F*>& cursors, A& acc,
     }
   }
   SJ_RETURN_NOT_OK(ValidateContext(acc, context));
+  std::vector<std::unique_ptr<F>> cursors;
+  cursors.reserve(k);
+  for (const TwigLevel& level : levels) {
+    cursors.emplace_back(new F(make_cursor(level.tag)));
+  }
 
   JoinStats local;
   local.context_size = context.size();

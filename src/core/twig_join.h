@@ -13,9 +13,9 @@
 // intermediate node list is ever built; only the final level emits.
 //
 // One backend-generic implementation lives in core/twig_impl.h; this
-// header holds the shared plan/stats types and the in-memory shim. The
-// buffer-pool twins are storage::PagedTwigJoin (storage/paged_tags.h)
-// and storage::CompressedTwigJoin (storage/compressed_tags.h).
+// header holds the shared plan/stats types and the in-memory entry
+// point. Queries on every backend run the same body through
+// xpath/backend_dispatch.h.
 
 #ifndef STAIRJOIN_CORE_TWIG_JOIN_H_
 #define STAIRJOIN_CORE_TWIG_JOIN_H_

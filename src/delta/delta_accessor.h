@@ -9,16 +9,15 @@
 // keep charging the BufferPool on paged/compressed backends); reads that
 // resolve to inserted nodes are resident array lookups in the Overlay.
 //
-// The Base cursor is constructed IN PLACE from forwarded constructor
-// arguments: paged accessors own non-movable PageGuards, so the wrapper
-// can never require moving one.
+// The Base cursor is constructed IN PLACE from the prvalue a factory
+// returns (guaranteed elision): paged accessors own non-movable
+// PageGuards, so the wrapper can never require moving one.
 
 #ifndef STAIRJOIN_DELTA_DELTA_ACCESSOR_H_
 #define STAIRJOIN_DELTA_DELTA_ACCESSOR_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "core/doc_accessor.h"
 #include "core/fragment_cursor.h"
@@ -34,9 +33,10 @@ namespace sj::delta {
 template <typename Base>
 class DeltaDocAccessor {
  public:
-  template <typename... Args>
-  explicit DeltaDocAccessor(const Overlay& overlay, Args&&... args)
-      : ov_(&overlay), base_(std::forward<Args>(args)...) {}
+  /// Wraps the base accessor `make_base()` returns.
+  template <typename MakeBase>
+  explicit DeltaDocAccessor(const Overlay& overlay, MakeBase&& make_base)
+      : ov_(&overlay), base_(make_base()) {}
 
   size_t size() const { return ov_->logical_size(); }
 
@@ -104,12 +104,12 @@ static_assert(DocAccessor<DeltaDocAccessor<MemoryDocAccessor>>);
 template <typename Base>
 class DeltaFragmentCursor {
  public:
-  template <typename... Args>
+  /// Wraps the base cursor over `tag`'s fragment that `make_base()`
+  /// returns.
+  template <typename MakeBase>
   explicit DeltaFragmentCursor(const Overlay& overlay, TagId tag,
-                               Args&&... args)
-      : ov_(&overlay),
-        fo_(&overlay.fragment(tag)),
-        base_(std::forward<Args>(args)...) {}
+                               MakeBase&& make_base)
+      : ov_(&overlay), fo_(&overlay.fragment(tag)), base_(make_base()) {}
 
   size_t size() const { return fo_->merged_count; }
 

@@ -1,30 +1,20 @@
-// The ONE backend-selection point of the engine (internal header).
-//
-// Every per-backend shim family a step can run through -- staircase
-// join, name-test pushdown join, axis cursor, node-test filter, twig
-// join, fragment statistics, wiring validation -- dispatches here as an
-// exhaustive switch over StorageBackend with no default case, so a new
-// backend (or a new operation) that misses a site is a -Wswitch warning
-// at compile time instead of a silent fall-through to the memory path.
-//
-// This file is the only place allowed to compare or switch on
-// StorageBackend: sj-lint (tools/lint/sj_lint.py, rule backend-dispatch)
-// fails on a comparison or switch anywhere else under src/, which is
-// what keeps the dispatch exhaustive-by-construction promise honest as
-// the ROADMAP's mmap and sharded-collection backends land.
+// The ONE backend-selection point of the engine (internal header). Visit
+// switches on StorageBackend once, with no default case: each case names
+// the backend's facts and its accessor and fragment-cursor factories,
+// which Bind wraps in the delta cursors on an edited snapshot. Every
+// operation is one Visit call into core/*_impl.h, defined in
+// backend_dispatch.cc so the kernel instantiations for every backend live
+// in one translation unit of their own. sj-lint (rule backend-dispatch)
+// keeps every other backend switch out of src/.
 
 #ifndef STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 #define STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 
-#include <memory>
-#include <optional>
+#include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 #include "core/axis_impl.h"
-#include "core/axis_step.h"
-#include "core/fragment_impl.h"
-#include "core/staircase_impl.h"
-#include "core/twig_impl.h"
 #include "delta/delta_accessor.h"
 #include "storage/compressed_accessor.h"
 #include "storage/paged_accessor.h"
@@ -35,531 +25,110 @@ namespace sj::xpath {
 
 class BackendDispatch {
  public:
-  /// `doc` and `opt` are borrowed; the EvalOptions wiring (which
-  /// tables/pools/fragment images serve a query) must have been
-  /// validated via ValidateWiring before the join methods run.
-  BackendDispatch(const DocTable& doc, const EvalOptions& opt)
-      : doc_(doc), opt_(opt) {}
+  /// Borrows both; operations assume CheckImages() (and, for twig and
+  /// pushdown, HasFragments()) passed.
+  BackendDispatch(const DocTable& doc, const EvalOptions& opt);
 
-  /// True when sessions of backend `b` charge reads to a buffer pool.
-  static bool UsesPool(StorageBackend b) {
-    switch (b) {
-      case StorageBackend::kMemory:
-        return false;
-      case StorageBackend::kPaged:
-      case StorageBackend::kCompressed:
-        return true;
-    }
-    return false;
-  }
+  const BackendFacts& facts() const { return facts_; }
+  bool Pooled() const { return facts_.pooled; }
+  bool Overlaid() const { return opt_.images.Overlaid(); }
+  const char* Label() const { return facts_.Label(Overlaid()); }
+  bool HasFragments() const { return opt_.images.HasFragments(facts_); }
+  Status CheckImages() const { return opt_.images.Check(facts_); }
 
-  /// Facade wiring (sj::Database::CreateSession): points `eval` at the
-  /// backend images its chosen backend reads, or fails when the database
-  /// holds no such image. The pool is wired by the caller (shared vs
-  /// session-private), guarded by UsesPool.
-  static Status WireBackend(EvalOptions* eval,
-                            const storage::PagedDocTable* paged_doc,
-                            const storage::PagedTagIndex* paged_tags,
-                            const storage::CompressedDocTable* compressed_doc,
-                            const storage::CompressedTagIndex* compressed_tags) {
-    switch (eval->backend) {
-      case StorageBackend::kMemory:
-        return Status::OK();
-      case StorageBackend::kPaged:
-        if (paged_doc == nullptr) {
-          return Status::InvalidArgument(
-              "session requests the paged backend but the database was "
-              "opened without a paged image (DatabaseOptions::build_paged)");
-        }
-        eval->paged_doc = paged_doc;
-        eval->paged_tags = paged_tags;
-        return Status::OK();
-      case StorageBackend::kCompressed:
-        if (compressed_doc == nullptr) {
-          return Status::InvalidArgument(
-              "session requests the compressed backend but the database was "
-              "opened without a compressed image "
-              "(DatabaseOptions::build_compressed)");
-        }
-        eval->compressed_doc = compressed_doc;
-        eval->compressed_tags = compressed_tags;
-        return Status::OK();
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// True when the session's snapshot carries a non-empty delta overlay:
-  /// every join then runs over the merged document via the delta cursors
-  /// (base reads still charge the pool; delta reads are resident).
-  bool Overlaid() const {
-    return opt_.overlay != nullptr && !opt_.overlay->empty();
-  }
-
-  /// EXPLAIN label prefix of the backend ("", "paged ", "compressed ";
-  /// overlay variants when a delta overlay is active).
-  const char* Label() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return Overlaid() ? explain::kLabelOverlayMemory
-                          : explain::kLabelMemory;
-      case StorageBackend::kPaged:
-        return Overlaid() ? explain::kLabelOverlayPaged : explain::kLabelPaged;
-      case StorageBackend::kCompressed:
-        return Overlaid() ? explain::kLabelOverlayCompressed
-                          : explain::kLabelCompressed;
-    }
-    return explain::kLabelMemory;
-  }
-
-  /// Whether steps charge their reads to a buffer pool (EXPLAIN suffix).
-  bool Pooled() const { return UsesPool(opt_.backend); }
-
-  /// The pool-backed backend's name for digest-mismatch Statuses.
-  const char* DigestName() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return "memory";
-      case StorageBackend::kPaged:
-        return "paged";
-      case StorageBackend::kCompressed:
-        return "compressed";
-    }
-    return "memory";
-  }
-
-  /// Fails when the options name a backend whose tables or pool are not
-  /// wired. The join methods below assume this passed.
-  Status ValidateWiring() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return Status::OK();
-      case StorageBackend::kPaged:
-        if (opt_.paged_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "paged backend requires EvalOptions::paged_doc and pool");
-        }
-        return Status::OK();
-      case StorageBackend::kCompressed:
-        if (opt_.compressed_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "compressed backend requires EvalOptions::compressed_doc and "
-              "pool");
-        }
-        return Status::OK();
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Node count of the pool-backed image (0 on the memory backend);
-  /// requires ValidateWiring().
-  size_t ImageSize() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return doc_.size();
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->size();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->size();
-    }
-    return 0;
-  }
-
-  /// DocColumnsDigest the pool-backed image was built from; requires
-  /// ValidateWiring() and Pooled().
-  uint64_t ImageDocDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return 0;
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->source_digest();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->source_digest();
-    }
-    return 0;
-  }
-
-  /// FragmentColumnsDigest of the backend's fragment index; nullopt when
-  /// the backend has none wired.
-  std::optional<uint64_t> ImageFragDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return std::nullopt;
-      case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr
-                   ? std::optional<uint64_t>(opt_.paged_tags->source_digest())
-                   : std::nullopt;
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr
-                   ? std::optional<uint64_t>(
-                         opt_.compressed_tags->source_digest())
-                   : std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  /// Whether the active backend has a fragment index wired. Pushdown and
-  /// twig both require it; each pool-backed backend only qualifies with
-  /// its own fragment image -- a memory-resident TagIndex would silently
-  /// bypass the buffer pool and charge no faults.
-  bool HasFragments() const {
-    // Under an overlay the merged per-tag fragments must exist too (they
-    // are built from the resident TagIndex at commit time).
-    if (Overlaid() && !opt_.overlay->has_fragments()) return false;
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return opt_.tag_index != nullptr;
-      case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr;
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr;
-    }
-    return false;
-  }
-
-  /// Fragment size of `tag` (the pushdown cost model's selectivity);
-  /// requires HasFragments().
-  uint64_t TagCount(TagId tag) const {
-    // Merged count: base survivors plus delta elements of the tag.
-    if (Overlaid()) return opt_.overlay->tag_count(tag);
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return opt_.tag_index->tag_count(tag);
-      case StorageBackend::kPaged:
-        return opt_.paged_tags->tag_count(tag);
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags->tag_count(tag);
-    }
-    return 0;
-  }
-
-  /// Staircase join over the whole document (parallel when configured).
-  /// Overlaid snapshots run the same generic kernels over the merging
-  /// accessors -- serially: the partitioned parallel driver's chunk math
-  /// is pristine-image-specific, and the delta is expected to be small
-  /// until compaction folds it (EXPLAIN drops the parallel prefix).
+  /// Fragment size of `tag` (merged when edited).
+  uint64_t TagCount(TagId tag) const;
+  /// Staircase join over the whole document; pristine images may run the
+  /// partitioned parallel driver, whose chunk math edited snapshots lack.
   Result<NodeSequence> Staircase(const NodeSequence& context, Axis axis,
-                                 JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    const bool parallel = opt_.num_threads > 1;
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return parallel ? ParallelStaircaseJoin(doc_, context, axis,
-                                                opt_.staircase,
-                                                opt_.num_threads, stats)
-                        : StaircaseJoin(doc_, context, axis, opt_.staircase,
-                                        stats);
-      case StorageBackend::kPaged:
-        return parallel ? storage::ParallelPagedStaircaseJoin(
-                              *opt_.paged_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::PagedStaircaseJoin(*opt_.paged_doc,
-                                                      opt_.pool, context, axis,
-                                                      opt_.staircase, stats);
-      case StorageBackend::kCompressed:
-        return parallel ? storage::ParallelCompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::CompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
+                                 JoinStats* stats) const;
   /// Name-test pushdown: staircase join over one tag fragment.
   Result<NodeSequence> PushdownView(TagId tag, const NodeSequence& context,
-                                    Axis axis, JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaFragmentCursor<MemoryFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.tag_index->view(tag));
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaFragmentCursor<storage::PagedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.paged_tags->fragment(tag), opt_.pool);
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaFragmentCursor<storage::CompressedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-              opt_.pool);
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return StaircaseJoinView(doc_, opt_.tag_index->view(tag), context,
-                                 axis, opt_.staircase, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedStaircaseJoinView(*opt_.paged_tags, tag,
-                                               *opt_.paged_doc, opt_.pool,
-                                               context, axis, opt_.staircase,
-                                               stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedStaircaseJoinView(
-            *opt_.compressed_tags, tag, *opt_.compressed_doc, opt_.pool,
-            context, axis, opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
+                                    Axis axis, JoinStats* stats) const;
   /// Non-staircase axis step with the node test folded into the scan.
   Result<NodeSequence> AxisCursor(const NodeSequence& context, Axis axis,
                                   const AxisNodeTest& test,
-                                  JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return AxisCursorStep(doc_, context, axis, test, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedAxisCursorStep(*opt_.paged_doc, opt_.pool,
-                                            context, axis, test, stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedAxisCursorStep(*opt_.compressed_doc,
-                                                 opt_.pool, context, axis,
-                                                 test, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Set-at-a-time positional axis step: per-context groups for rank
-  /// predicates, every read charged to the backend (the replacement for
-  /// the per-context fallback that bypassed the pool).
+                                  JoinStats* stats) const;
+  /// Positional axis step: per-context groups for rank predicates.
   Result<internal::PositionalGroups> PositionalAxis(
       const NodeSequence& context, Axis axis, const AxisNodeTest& test,
-      JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory: {
-        MemoryDocAccessor acc(doc_);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kPaged: {
-        storage::PagedDocAccessor acc(*opt_.paged_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kCompressed: {
-        storage::CompressedDocAccessor acc(*opt_.compressed_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// The cost model's per-page unit of the active backend (cost_model.h
-  /// constants; the backend switch lives here, not in the estimator).
-  double PageCostUnit() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return kMemoryPageCost;
-      case StorageBackend::kPaged:
-        return kPagedPageCost;
-      case StorageBackend::kCompressed:
-        return kCompressedPageCost;
-    }
-    return kPagedPageCost;
-  }
-
-  /// Node-test filter pass over a join result (kind/tag reads are
-  /// charged to the step's backend, like every other read).
+      JoinStats* stats) const;
+  /// Node-test filter pass over a join result.
   Result<NodeSequence> Filter(const NodeSequence& nodes,
-                              const AxisNodeTest& test) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return FilterByTestSequence(doc_, nodes, test);
-      case StorageBackend::kPaged:
-        return storage::PagedFilterByTest(*opt_.paged_doc, opt_.pool, nodes,
-                                          test);
-      case StorageBackend::kCompressed:
-        return storage::CompressedFilterByTest(*opt_.compressed_doc,
-                                               opt_.pool, nodes, test);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Holistic twig join over the backend's fragment cursors; requires
-  /// HasFragments().
+                              const AxisNodeTest& test) const;
+  /// Holistic twig join over the per-level fragment cursors.
   Result<NodeSequence> Twig(const NodeSequence& context,
                             const std::vector<TwigLevel>& levels,
                             JoinStats* stats,
-                            std::vector<TwigLevelStats>* level_stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return OverlayTwig<MemoryFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<MemoryFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.tag_index->view(tag));
-              });
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return OverlayTwig<storage::PagedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<storage::PagedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.paged_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return OverlayTwig<storage::CompressedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<delta::DeltaFragmentCursor<
-                    storage::CompressedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return TwigJoin(doc_, *opt_.tag_index, context, levels,
-                        opt_.staircase, stats, level_stats);
-      case StorageBackend::kPaged:
-        return storage::PagedTwigJoin(*opt_.paged_tags, *opt_.paged_doc,
-                                      opt_.pool, context, levels,
-                                      opt_.staircase, stats, level_stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedTwigJoin(*opt_.compressed_tags,
-                                           *opt_.compressed_doc, opt_.pool,
-                                           context, levels, opt_.staircase,
-                                           stats, level_stats);
-    }
-    return Status::Internal("unreachable");
-  }
+                            std::vector<TwigLevelStats>* level_stats) const;
 
  private:
-  /// Twig body shared by the three overlay branches: builds one delta
-  /// fragment cursor per level (heap-allocated -- paged cursors own
-  /// non-movable PageGuards) and runs the generic k-way join.
-  template <typename BaseCursor, typename Acc, typename MakeCursor>
-  Result<NodeSequence> OverlayTwig(
-      Acc& acc, const NodeSequence& context,
-      const std::vector<TwigLevel>& levels, JoinStats* stats,
-      std::vector<TwigLevelStats>* level_stats, MakeCursor make_cursor) const {
-    using Cursor = delta::DeltaFragmentCursor<BaseCursor>;
-    std::vector<std::unique_ptr<Cursor>> owned;
-    std::vector<Cursor*> cursors;
-    owned.reserve(levels.size());
-    cursors.reserve(levels.size());
-    for (const TwigLevel& level : levels) {
-      owned.push_back(make_cursor(level.tag));
-      cursors.push_back(owned.back().get());
+  /// Calls fn(facts, doc_factory, fragment_factory, overlaid) for the
+  /// bound backend; overlaid is std::true_type when the factories yield
+  /// delta cursors. Factories return cursors by value (guaranteed
+  /// elision: non-movable pool-backed cursors are fine).
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    static const DatabaseImages kNoImages;
+    const DatabaseImages& s = opt_.images.set ? *opt_.images.set : kNoImages;
+    storage::BufferPool* pool = opt_.images.pool;
+    switch (opt_.backend) {
+      case StorageBackend::kMemory:
+        return Bind(
+            fn, BackendFacts::Memory(doc_.size(), s.tag_index != nullptr),
+            [&] { return MemoryDocAccessor(doc_); },
+            [&](TagId t) {
+              return MemoryFragmentCursor(s.tag_index->view(t));
+            });
+      case StorageBackend::kPaged:
+        return Bind(
+            fn,
+            BackendFacts::Pooled("paged", explain::kLabelPaged,
+                                 explain::kLabelOverlayPaged, kPagedPageCost,
+                                 s.paged_doc.get(), s.paged_tags.get()),
+            [&] { return storage::PagedDocAccessor(*s.paged_doc, pool); },
+            [&](TagId t) {
+              return storage::PagedFragmentCursor(s.paged_tags->fragment(t),
+                                                  pool);
+            });
+      case StorageBackend::kCompressed:
+        return Bind(
+            fn,
+            BackendFacts::Pooled("compressed", explain::kLabelCompressed,
+                                 explain::kLabelOverlayCompressed,
+                                 kCompressedPageCost, s.compressed_doc.get(),
+                                 s.compressed_tags.get()),
+            [&] {
+              return storage::CompressedDocAccessor(*s.compressed_doc, pool);
+            },
+            [&](TagId t) {
+              return storage::CompressedFragmentCursor(
+                  s.compressed_tags->fragment(t), pool);
+            });
     }
-    return internal::TwigJoinOver(cursors, acc, context, levels,
-                                  opt_.staircase, stats, level_stats);
+    std::abort();  // unreachable: the switch above is exhaustive
+  }
+
+  /// Hands `fn` the backend's factories, wrapped in the merging delta
+  /// cursors when the snapshot is edited.
+  template <typename Fn, typename Doc, typename Frag>
+  decltype(auto) Bind(Fn& fn, const BackendFacts& facts, Doc doc,
+                      Frag frag) const {
+    if (!Overlaid()) return fn(facts, doc, frag, std::false_type{});
+    const delta::Overlay& ov = *opt_.images.overlay;
+    return fn(
+        facts,
+        [&] { return delta::DeltaDocAccessor<decltype(doc())>(ov, doc); },
+        [&](TagId t) {
+          return delta::DeltaFragmentCursor<decltype(frag(t))>(
+              ov, t, [&] { return frag(t); });
+        },
+        std::true_type{});
   }
 
   const DocTable& doc_;
   const EvalOptions& opt_;
+  const BackendFacts facts_;
 };
 
 }  // namespace sj::xpath

@@ -47,14 +47,14 @@ AxisNodeTest MakeAxisNodeTest(const Step& step,
 }  // namespace
 
 Evaluator::Evaluator(const DocTable& doc, EvalOptions options)
-    : doc_(doc),
-      options_(options),
-      doc_digest_(options.doc_digest),
-      frag_digest_(options.frag_digest) {
+    : doc_(doc), options_(std::move(options)) {
   // Paid up front so the O(doc) digest passes never land inside a timed
-  // query (Evaluate would otherwise compute them lazily). A facade that
-  // already validated the images at open time passes the digests in via
-  // EvalOptions and skips the passes entirely.
+  // query. A facade that already validated the images at open time
+  // carries the digests in the image set and skips the passes entirely.
+  if (const DatabaseImages* set = options_.images.set) {
+    doc_digest_ = set->doc_digest;
+    frag_digest_ = set->frag_digest;
+  }
   const BackendDispatch dispatch(doc_, options_);
   if (dispatch.Pooled()) {
     if (!doc_digest_.has_value()) {
@@ -72,21 +72,19 @@ Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path,
   return EvaluateKeepTrace(path, context);
 }
 
-bool Evaluator::Overlaid() const {
-  return options_.overlay != nullptr && !options_.overlay->empty();
-}
-
 size_t Evaluator::LogicalSize() const {
-  return Overlaid() ? options_.overlay->logical_size() : doc_.size();
+  const ImageBinding& b = options_.images;
+  return b.Overlaid() ? b.overlay->logical_size() : doc_.size();
 }
 
 std::optional<TagId> Evaluator::LookupTag(std::string_view name) const {
-  if (Overlaid()) return options_.overlay->LookupTag(doc_.tags(), name);
+  const ImageBinding& b = options_.images;
+  if (b.Overlaid()) return b.overlay->LookupTag(doc_.tags(), name);
   return doc_.tags().Lookup(name);
 }
 
 Result<const DocTable*> Evaluator::EffectiveDoc() {
-  if (!Overlaid()) return &doc_;
+  if (!options_.images.Overlaid()) return &doc_;
   if (!options_.overlay_doc) {
     return Status::InvalidArgument(
         "overlay evaluation requires EvalOptions::overlay_doc");
@@ -94,27 +92,24 @@ Result<const DocTable*> Evaluator::EffectiveDoc() {
   return options_.overlay_doc();
 }
 
-Status Evaluator::CheckImageDigests(size_t image_size,
-                                    uint64_t image_doc_digest,
-                                    std::optional<uint64_t> image_frag_digest,
-                                    const char* backend_name) {
+Status Evaluator::CheckImageDigests(const BackendFacts& image) {
   // Size alone cannot identify the document (two documents can share a
   // node count); compare column digests, computed once per evaluator.
   if (!doc_digest_.has_value()) {
     doc_digest_ = storage::DocColumnsDigest(doc_);
   }
-  if (image_size != doc_.size() || image_doc_digest != *doc_digest_) {
+  if (image.size != doc_.size() || image.doc_digest != *doc_digest_) {
     return Status::InvalidArgument(
-        std::string(backend_name) +
+        std::string(image.name) +
         " table does not image the evaluator's document");
   }
-  if (image_frag_digest.has_value()) {
+  if (image.frag_digest.has_value()) {
     if (!frag_digest_.has_value()) {
       frag_digest_ = storage::FragmentColumnsDigest(doc_, *doc_digest_);
     }
-    if (*image_frag_digest != *frag_digest_) {
+    if (*image.frag_digest != *frag_digest_) {
       return Status::InvalidArgument(
-          std::string(backend_name) +
+          std::string(image.name) +
           " tag index does not image the evaluator's document");
     }
   }
@@ -126,10 +121,8 @@ Result<NodeSequence> Evaluator::EvaluateKeepTrace(const LocationPath& path,
                                                   const PlannedPath* planned) {
   const BackendDispatch dispatch(doc_, options_);
   if (dispatch.Pooled()) {
-    SJ_RETURN_NOT_OK(dispatch.ValidateWiring());
-    SJ_RETURN_NOT_OK(CheckImageDigests(
-        dispatch.ImageSize(), dispatch.ImageDocDigest(),
-        dispatch.ImageFragDigest(), dispatch.DigestName()));
+    SJ_RETURN_NOT_OK(dispatch.CheckImages());
+    SJ_RETURN_NOT_OK(CheckImageDigests(dispatch.facts()));
   }
   NodeSequence start = context;
   if (path.absolute) {
@@ -209,7 +202,11 @@ CompiledPlan Evaluator::Compile(UnionExpr expr) const {
 CardinalityEstimator Evaluator::MakeEstimator() const {
   const BackendDispatch dispatch(doc_, options_);
   const bool has_fragments = dispatch.HasFragments();
-  const DocStatistics* stats = options_.doc_stats;
+  // Planner statistics describe the BASE document; under an overlay the
+  // merged per-tag counts come from the fragment index instead (below).
+  const DocStatistics* stats = options_.images.set != nullptr
+                                   ? options_.images.set->doc_stats.get()
+                                   : nullptr;
   const uint64_t logical = LogicalSize();
   auto tag_count = [this, has_fragments, stats, logical](TagId tag) {
     if (tag == kNoTag) return uint64_t{0};
@@ -219,12 +216,13 @@ CardinalityEstimator Evaluator::MakeEstimator() const {
       // gives tags first introduced by an edit their real sizes.
       return BackendDispatch(doc_, options_).TagCount(tag);
     }
-    if (stats != nullptr && tag < stats->tag_counts.size() && !Overlaid()) {
+    if (stats != nullptr && tag < stats->tag_counts.size() &&
+        !options_.images.Overlaid()) {
       return stats->tag_counts[tag];
     }
     return logical;  // unknown selectivity: assume non-selective
   };
-  return CardinalityEstimator(stats, logical, dispatch.PageCostUnit(),
+  return CardinalityEstimator(stats, logical, dispatch.facts().page_cost,
                               std::move(tag_count));
 }
 
@@ -422,9 +420,9 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
   JoinStats stats;
   std::vector<TwigLevelStats> level_stats;
   const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  storage::BufferPool* pool = options_.images.pool;
+  const bool count_faults = dispatch.Pooled() && pool != nullptr;
+  const uint64_t faults_before = count_faults ? pool->stats().faults : 0;
   SJ_ASSIGN_OR_RETURN(NodeSequence result,
                       dispatch.Twig(context, plan.twig_levels, &stats,
                                     &level_stats));
@@ -461,7 +459,7 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
     trace.op = StepOperator::kTwig;
     trace.estimated_rows = plan.estimated_rows;
     if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+      trace.pool_faults = pool->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
     for (size_t s = 1; s < plan.twig_consumed; ++s) {
@@ -684,9 +682,9 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
   NodeSequence result;
 
   const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  storage::BufferPool* pool = options_.images.pool;
+  const bool count_faults = dispatch.Pooled() && pool != nullptr;
+  const uint64_t faults_before = count_faults ? pool->stats().faults : 0;
 
   if (plan.positional && options_.engine != EngineMode::kStaircase) {
     // Naive engine: the per-context oracle path, whole-node reads over
@@ -764,7 +762,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
       trace.op = plan.op;
       trace.estimated_rows = plan.estimated_rows;
       if (count_faults) {
-        trace.pool_faults = options_.pool->stats().faults - faults_before;
+        trace.pool_faults = pool->stats().faults - faults_before;
       }
       trace_.push_back(std::move(trace));
     }
@@ -773,7 +771,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     if (plan.pushdown) {
       // The unified fragment join over the backend's cursor: the
       // pushed-down step's fragment reads AND its context postorder
-      // reads are charged to the step's backend (options_.pool when
+      // reads are charged to the step's backend (the bound pool when
       // pool-backed). The fragment already applies the name test.
       SJ_ASSIGN_OR_RETURN(
           result, dispatch.PushdownView(*tag, context, step.axis, &stats));
@@ -827,7 +825,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     trace.op = plan.op;
     trace.estimated_rows = plan.estimated_rows;
     if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+      trace.pool_faults = pool->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
   }

@@ -30,13 +30,10 @@
 #include "core/twig_join.h"
 #include "delta/overlay.h"
 #include "encoding/doc_table.h"
-#include "storage/compressed_doc.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/result.h"
 #include "xpath/ast.h"
 #include "xpath/cost_model.h"
+#include "xpath/image_set.h"
 #include "xpath/parser.h"
 #include "xpath/plan.h"
 
@@ -77,14 +74,9 @@ struct EvalOptions {
   /// Whether eligible step runs (consecutive predicate-free name-test
   /// child/descendant(-or-self) steps) are evaluated as one holistic
   /// twig join instead of step-at-a-time. Requires the active backend's
-  /// fragment index (tag_index / paged_tags / compressed_tags);
-  /// ineligible runs and missing indexes silently fall back to
-  /// step-at-a-time. EXPLAIN shows the collapse.
+  /// fragment index (in `images`); ineligible runs and missing indexes
+  /// silently fall back to step-at-a-time. EXPLAIN shows the collapse.
   TwigMode twig = TwigMode::kAuto;
-  /// Tag fragments for pushdown on the memory backend (pass null to
-  /// disable). Never consulted on the paged backend -- a memory-resident
-  /// fragment would silently bypass the buffer pool; see `paged_tags`.
-  const TagIndex* tag_index = nullptr;
   /// kAuto pushes a name test down iff the tag's node count is below this
   /// fraction of the document size ("selective name tests only"). Only
   /// consulted when `cost_model` is kOff -- under kAuto the estimator's
@@ -95,52 +87,19 @@ struct EvalOptions {
   /// page costs; kOff restores the static pushdown_selectivity
   /// threshold. Either way EXPLAIN prints est=N act=M per step.
   CostModelMode cost_model = CostModelMode::kAuto;
-  /// Level histogram + per-tag level spread of the bound document,
-  /// collected at Database open (null: the estimator falls back to
-  /// coarse document-size bounds; decisions stay deterministic).
-  const DocStatistics* doc_stats = nullptr;
   /// >1 runs the partitioned parallel staircase join with this many workers.
   unsigned num_threads = 1;
-  /// Storage backend for the axis-step joins. With kPaged, every step --
-  /// staircase joins, the non-staircase axis cursors, positional rank
-  /// joins AND the node-test filters -- reads post/kind/level/parent/tag
-  /// through `pool`; `paged_doc` and `pool` are then required and must
-  /// image the same document the evaluator is bound to.
+  /// Storage backend for the axis-step joins. Pool-backed backends read
+  /// every step -- staircase joins, the non-staircase axis cursors,
+  /// positional rank joins AND the node-test filters -- through the
+  /// bound pool; their images must be in `images` and image the document
+  /// the evaluator is bound to (digest-checked per query).
   StorageBackend backend = StorageBackend::kMemory;
-  const storage::PagedDocTable* paged_doc = nullptr;
-  storage::BufferPool* pool = nullptr;
-  /// Paged tag fragments for pushdown on the paged backend (pass null to
-  /// disable pushdown there). Must image the same document as the
-  /// evaluator (digest-checked) and share `pool`'s disk. Pushed-down
-  /// steps then charge their fragment page reads to `pool` instead of
-  /// diving into the memory-resident TagIndex.
-  const storage::PagedTagIndex* paged_tags = nullptr;
-  /// With kCompressed, every step reads the block-compressed columns
-  /// through `pool`; `compressed_doc` and `pool` are then required and
-  /// must image the same document the evaluator is bound to
-  /// (digest-checked, like the paged pair).
-  const storage::CompressedDocTable* compressed_doc = nullptr;
-  /// Compressed tag fragments for pushdown on the compressed backend
-  /// (pass null to disable pushdown there); same contract as
-  /// `paged_tags`.
-  const storage::CompressedTagIndex* compressed_tags = nullptr;
-  /// Facade wiring (sj::Database): the DocColumnsDigest /
-  /// FragmentColumnsDigest of the bound document, already computed and
-  /// verified against the paged images at Database open time. When set,
-  /// the evaluator trusts them instead of running its own O(doc) digest
-  /// passes, so creating a session stays cheap.
-  std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
-  /// Snapshot overlay (updatable documents). When set and non-empty,
-  /// every join runs over the merged (base + delta) document in dense
-  /// logical pre ranks: base reads keep charging the backend's pool,
-  /// delta reads are resident (`delta/delta_accessor.h`). Null or empty
-  /// means the pristine document -- plans and traces are byte-identical
-  /// to a database that was never edited.
-  const delta::Overlay* overlay = nullptr;
+  /// The image set, pool and snapshot overlay every step reads.
+  ImageBinding images;
   /// Lazily materializes the merged document as a resident DocTable for
   /// the per-context paths (naive engine, positional predicates, name
-  /// filtering on the naive path). Required when `overlay` is set.
+  /// filtering on the naive path). Required when `images.overlay` is set.
   std::function<Result<const DocTable*>()> overlay_doc;
   /// Snapshot identity for EXPLAIN ("snapshot: epoch N (delta: M
   /// nodes)"); epoch 0 = pristine, no line emitted.
@@ -227,13 +186,10 @@ class Evaluator {
   Result<NodeSequence> EvaluateUnion(const UnionExpr& expr,
                                      const std::vector<PlannedPath>* planned,
                                      const NodeSequence& context);
-  /// Shared identity check of the pool-backed backends: the bound image
-  /// (and, when present, its fragment index) must carry this document's
-  /// column digests. `image_frag_digest` is nullopt when the backend
-  /// has no fragment index configured.
-  Status CheckImageDigests(size_t image_size, uint64_t image_doc_digest,
-                           std::optional<uint64_t> image_frag_digest,
-                           const char* backend_name);
+  /// Identity check of the pool-backed backends: the bound image (and,
+  /// when present, its fragment index) must carry this document's column
+  /// digests.
+  Status CheckImageDigests(const BackendFacts& image);
   Result<NodeSequence> EvalSteps(const std::vector<Step>& steps, size_t first,
                                  NodeSequence context, bool top_level,
                                  const PlannedPath* planned = nullptr);
@@ -295,8 +251,6 @@ class Evaluator {
   bool ShouldPushdown(const Step& step, TagId tag,
                       const CardinalityEstimator& est,
                       const ContextEstimate& in) const;
-  /// True when options_ carry a non-empty delta overlay.
-  bool Overlaid() const;
   /// Merged document size (doc_.size() when pristine).
   size_t LogicalSize() const;
   /// Tag lookup against the merged dictionary (base dictionary when
@@ -310,12 +264,10 @@ class Evaluator {
   const DocTable& doc_;
   EvalOptions options_;
   std::vector<StepTrace> trace_;
-  /// Lazily computed DocColumnsDigest of doc_, used to check that a
-  /// paged backend images the same document (computed on first paged
-  /// query).
+  /// DocColumnsDigest / FragmentColumnsDigest of doc_ (from the image
+  /// set, or computed at construction on pool-backed backends), against
+  /// which the bound images are checked.
   std::optional<uint64_t> doc_digest_;
-  /// Lazily computed FragmentColumnsDigest of doc_, the matching check
-  /// for EvalOptions::paged_tags.
   std::optional<uint64_t> frag_digest_;
 };
 

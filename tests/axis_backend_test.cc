@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "api/database.h"
+#include "backend_kernels.h"
 #include "baselines/naive.h"
 #include "bat/operators.h"
 #include "core/axis_step.h"
@@ -25,6 +26,7 @@
 namespace sj::storage {
 namespace {
 
+using sj::testing::AxisCursorStepVia;
 using sj::testing::LoadPaperExample;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
@@ -125,13 +127,13 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
         JoinStats mem_stats, io_stats, zip_stats;
         auto expected = AxisCursorStep(*doc, *ctx, axis, {}, &mem_stats);
         ASSERT_TRUE(expected.ok()) << expected.status();
-        auto got = PagedAxisCursorStep(*paged, &pool, *ctx, axis, {},
-                                       &io_stats);
+        auto got = AxisCursorStepVia(*paged, &pool, *ctx, axis, {},
+                                     &io_stats);
         ASSERT_TRUE(got.ok()) << got.status();
         EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
             << AxisName(axis) << " seed " << seed << " shape " << shape;
-        auto zip = CompressedAxisCursorStep(*compressed, &pool, *ctx, axis,
-                                            {}, &zip_stats);
+        auto zip = AxisCursorStepVia(*compressed, &pool, *ctx, axis,
+                                     {}, &zip_stats);
         ASSERT_TRUE(zip.ok()) << zip.status();
         EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
             << "compressed " << AxisName(axis) << " seed " << seed
@@ -192,9 +194,9 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
     ASSERT_TRUE(expected.ok());
     auto mem = AxisCursorStep(*doc, ctx, axis);
     ASSERT_TRUE(mem.ok()) << mem.status();
-    auto io = PagedAxisCursorStep(*paged, &pool, ctx, axis);
+    auto io = AxisCursorStepVia(*paged, &pool, ctx, axis);
     ASSERT_TRUE(io.ok()) << io.status();
-    auto zip = CompressedAxisCursorStep(*compressed, &pool, ctx, axis);
+    auto zip = AxisCursorStepVia(*compressed, &pool, ctx, axis);
     ASSERT_TRUE(zip.ok()) << zip.status();
     EXPECT_TRUE(BytesEqual(mem.value(), expected.value())) << AxisName(axis);
     EXPECT_TRUE(BytesEqual(io.value(), expected.value())) << AxisName(axis);
@@ -279,7 +281,7 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
     AxisNodeTest test = AxisNodeTest::OfKindAndTag(
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
-    auto r = PagedAxisCursorStep(*paged, &pool, ctx, axis, test);
+    auto r = AxisCursorStepVia(*paged, &pool, ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     EXPECT_GT(pool.stats().faults, 0u)
         << AxisName(axis) << " read no pages on a cold pool";
@@ -302,11 +304,11 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
     BufferPool paged_pool(&disk, 16);
-    auto r = PagedAxisCursorStep(*paged, &paged_pool, ctx, axis, test);
+    auto r = AxisCursorStepVia(*paged, &paged_pool, ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     BufferPool zip_pool(&disk, 16);
-    auto z = CompressedAxisCursorStep(*compressed, &zip_pool, ctx, axis,
-                                      test);
+    auto z = AxisCursorStepVia(*compressed, &zip_pool, ctx, axis,
+                               test);
     ASSERT_TRUE(z.ok()) << AxisName(axis) << ": " << z.status();
     // Every step charges the pool -- and the compressed image never
     // needs more pages than the uncompressed one for the same reads.
@@ -323,7 +325,7 @@ TEST(PagedAxisCursorTest, SurfacesPoolExhaustion) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 1);
   ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());  // starve the cursor
-  auto r = PagedAxisCursorStep(*paged, &pool, {0}, Axis::kChild);
+  auto r = AxisCursorStepVia(*paged, &pool, {0}, Axis::kChild);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -341,7 +343,7 @@ TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
   BufferPool pool(&disk, 3);
   std::optional<TagId> b = doc->tags().Lookup("b");
   ASSERT_TRUE(b.has_value());
-  auto r = PagedAxisCursorStep(
+  auto r = AxisCursorStepVia(
       *paged, &pool, {0}, Axis::kChild,
       AxisNodeTest::OfKindAndTag(NodeKind::kElement, *b));
   EXPECT_FALSE(r.ok());

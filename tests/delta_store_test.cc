@@ -133,7 +133,8 @@ void ExpectColumnsEquivalent(const Database& edited, const Database& ref) {
   const delta::Overlay& overlay = *snap->overlay();
   const DocTable& base = *snap->images().doc;
   const DocTable& want = ref.doc();
-  delta::DeltaDocAccessor<MemoryDocAccessor> acc(overlay, base);
+  delta::DeltaDocAccessor<MemoryDocAccessor> acc(
+      overlay, [&] { return MemoryDocAccessor(base); });
   ASSERT_EQ(acc.size(), want.size());
   for (NodeId v = 0; v < want.size(); ++v) {
     EXPECT_EQ(acc.Post(v), want.post(v)) << "post(" << v << ")";

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "api/database.h"
+#include "backend_kernels.h"
 #include "core/fragment_cursor.h"
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
@@ -29,6 +30,7 @@ namespace {
 
 using sj::testing::RandomContext;
 using sj::testing::RandomDocument;
+using sj::testing::StaircaseJoinViewVia;
 
 constexpr Axis kStaircaseAxes[] = {
     Axis::kDescendant, Axis::kDescendantOrSelf, Axis::kAncestor,
@@ -122,12 +124,12 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(mem.ok()) << mem.status();
-          auto io = PagedStaircaseJoinView(*paged_tags, tag, *paged_doc,
-                                           &pool, ctx, axis, opt, &io_stats);
+          auto io = StaircaseJoinViewVia(*paged_tags, tag, *paged_doc,
+                                         &pool, ctx, axis, opt, &io_stats);
           ASSERT_TRUE(io.ok()) << io.status();
-          auto zip = CompressedStaircaseJoinView(*compressed_tags, tag,
-                                                 *compressed_doc, &pool, ctx,
-                                                 axis, opt, &zip_stats);
+          auto zip = StaircaseJoinViewVia(*compressed_tags, tag,
+                                          *compressed_doc, &pool, ctx,
+                                          axis, opt, &zip_stats);
           ASSERT_TRUE(zip.ok()) << zip.status();
 
           NodeSequence oracle = JoinThenFilter(*doc, ctx, axis, tag, opt);
@@ -288,8 +290,8 @@ TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
   EXPECT_FALSE(io.ok());
   EXPECT_EQ(io.LowerBound(0), io.size());  // terminates joins quickly
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoinView(*paged_tags, t, *paged_doc, &pool, {0},
-                                  Axis::kDescendant);
+  auto r = StaircaseJoinViewVia(*paged_tags, t, *paged_doc, &pool, {0},
+                                Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged_doc->KindPage(0)).ok());
 }

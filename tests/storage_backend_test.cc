@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "api/database.h"
+#include "backend_kernels.h"
 #include "core/doc_accessor.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
@@ -24,9 +25,11 @@
 namespace sj::storage {
 namespace {
 
+using sj::testing::ParallelStaircaseJoinVia;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
 using sj::testing::RandomDocument;
+using sj::testing::StaircaseJoinVia;
 
 constexpr Axis kStaircaseAxes[] = {
     Axis::kDescendant, Axis::kDescendantOrSelf, Axis::kAncestor,
@@ -104,8 +107,8 @@ TEST(DocAccessorTest, CompressedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = CompressedStaircaseJoin(*compressed, &pool, {0},
-                                   Axis::kDescendant);
+  auto r = StaircaseJoinVia(*compressed, &pool, {0},
+                            Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(compressed->kind().pages.front()).ok());
 }
@@ -123,7 +126,7 @@ TEST(DocAccessorTest, PagedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoin(*paged, &pool, {0}, Axis::kDescendant);
+  auto r = StaircaseJoinVia(*paged, &pool, {0}, Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -156,14 +159,14 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(expected.ok()) << expected.status();
-          auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt,
-                                        &io_stats);
+          auto got = StaircaseJoinVia(*paged, &pool, ctx, axis, opt,
+                                      &io_stats);
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
               << AxisName(axis) << " mode " << static_cast<int>(mode)
               << " fused " << fused << " seed " << seed;
-          auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis,
-                                             opt, &zip_stats);
+          auto zip = StaircaseJoinVia(*compressed, &pool, ctx, axis,
+                                      opt, &zip_stats);
           ASSERT_TRUE(zip.ok()) << zip.status();
           EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
               << "compressed " << AxisName(axis) << " mode "
@@ -177,13 +180,13 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           EXPECT_EQ(zip_stats.nodes_copied, mem_stats.nodes_copied);
           EXPECT_EQ(zip_stats.nodes_skipped, mem_stats.nodes_skipped);
 
-          auto par = ParallelPagedStaircaseJoin(*paged, &pool, ctx, axis,
-                                                opt, 4);
+          auto par = ParallelStaircaseJoinVia(*paged, &pool, ctx, axis,
+                                              opt, 4);
           ASSERT_TRUE(par.ok()) << par.status();
           EXPECT_TRUE(BytesEqual(par.value(), expected.value()))
               << "parallel " << AxisName(axis) << " seed " << seed;
-          auto zpar = ParallelCompressedStaircaseJoin(*compressed, &pool,
-                                                      ctx, axis, opt, 4);
+          auto zpar = ParallelStaircaseJoinVia(*compressed, &pool,
+                                               ctx, axis, opt, 4);
           ASSERT_TRUE(zpar.ok()) << zpar.status();
           EXPECT_TRUE(BytesEqual(zpar.value(), expected.value()))
               << "parallel compressed " << AxisName(axis) << " seed " << seed;
@@ -211,11 +214,11 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
       opt.keep_attributes = keep_attributes;
       opt.use_exact_level = true;  // exercises the pool-backed level column
       auto expected = StaircaseJoin(*doc, ctx, axis, opt);
-      auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt);
+      auto got = StaircaseJoinVia(*paged, &pool, ctx, axis, opt);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
           << AxisName(axis) << " keep_attributes " << keep_attributes;
-      auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis, opt);
+      auto zip = StaircaseJoinVia(*compressed, &pool, ctx, axis, opt);
       ASSERT_TRUE(zip.ok()) << zip.status();
       EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
           << "compressed " << AxisName(axis) << " keep_attributes "

@@ -7,16 +7,19 @@
 #include <thread>
 #include <vector>
 
+#include "backend_kernels.h"
 #include "storage/buffer_pool.h"
 #include "storage/paged_doc.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "xpath/evaluator.h"
 
 namespace sj::storage {
 namespace {
 
 using sj::testing::RandomContext;
 using sj::testing::RandomDocument;
+using sj::testing::StaircaseJoinVia;
 
 TEST(SimulatedDiskTest, AllocateReadWrite) {
   SimulatedDisk disk;
@@ -234,8 +237,8 @@ TEST_P(PagedJoinPropertyTest, MatchesInMemoryJoin) {
     opt.skip_mode = mode;
     JoinStats mem_stats, paged_stats;
     auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
-    auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt,
-                                  &paged_stats);
+    auto got = StaircaseJoinVia(*paged, &pool, ctx, axis, opt,
+                                &paged_stats);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got.value(), expected.value())
         << AxisName(axis) << " seed " << seed << " pool " << pool_pages;
@@ -269,9 +272,9 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
   est.keep_attributes = true;  // pure copy: no kind pages either
 
   BufferPool cold_none(&disk, 4);
-  (void)PagedStaircaseJoin(*paged, &cold_none, ctx, Axis::kDescendant, none);
+  (void)StaircaseJoinVia(*paged, &cold_none, ctx, Axis::kDescendant, none);
   BufferPool cold_est(&disk, 4);
-  (void)PagedStaircaseJoin(*paged, &cold_est, ctx, Axis::kDescendant, est);
+  (void)StaircaseJoinVia(*paged, &cold_est, ctx, Axis::kDescendant, est);
 
   EXPECT_GT(cold_none.stats().faults, 0u);
   // (root)/descendant with estimation: only the root's own post page.
@@ -285,13 +288,20 @@ TEST(PagedJoinTest, RejectsBadInput) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 4);
   EXPECT_FALSE(
-      PagedStaircaseJoin(*paged, &pool, {3, 1}, Axis::kDescendant).ok());
+      StaircaseJoinVia(*paged, &pool, {3, 1}, Axis::kDescendant).ok());
   // Non-staircase axes are rejected; following/preceding are supported
   // since the join runs through the backend-generic kernels.
-  EXPECT_FALSE(PagedStaircaseJoin(*paged, &pool, {0}, Axis::kChild).ok());
-  EXPECT_TRUE(PagedStaircaseJoin(*paged, &pool, {0}, Axis::kFollowing).ok());
-  EXPECT_FALSE(
-      PagedStaircaseJoin(*paged, nullptr, {0}, Axis::kDescendant).ok());
+  EXPECT_FALSE(StaircaseJoinVia(*paged, &pool, {0}, Axis::kChild).ok());
+  EXPECT_TRUE(StaircaseJoinVia(*paged, &pool, {0}, Axis::kFollowing).ok());
+  // A paged image bound without a pool fails the query with a Status
+  // before any page is read.
+  DatabaseImages images;
+  images.paged_doc = std::move(paged);
+  xpath::EvalOptions eval;
+  eval.backend = xpath::StorageBackend::kPaged;
+  eval.images.set = &images;
+  xpath::Evaluator evaluator(*doc, eval);
+  EXPECT_FALSE(evaluator.EvaluateString("/descendant::node()").ok());
   EXPECT_FALSE(PagedDocTable::Create(*doc, nullptr).ok());
 }
 

@@ -13,7 +13,12 @@ enforces. This pass makes them hard failures in CI:
                     may compare or switch on StorageBackend. A rogue
                     comparison elsewhere re-creates the per-backend
                     if/else soup the dispatch class retired and dodges
-                    its -Wswitch exhaustiveness net.
+                    its -Wswitch exhaustiveness net. Likewise no
+                    Paged*/Compressed* join, view, cursor-step, filter or
+                    twig entry point may be declared or called anywhere
+                    under src/: the kernels exist once in core/*_impl.h
+                    and BackendDispatch::Visit picks the accessor, so a
+                    per-backend shim is a second selection point.
   explain-literal   EXPLAIN trace fragments live in
                     src/xpath/explain_strings.h and nowhere else; tests
                     pin traces byte-for-byte, so an inline trace literal
@@ -155,11 +160,22 @@ _BACKEND_CMP_RE = re.compile(
     r"(?:[=!]=\s*StorageBackend::\w+|StorageBackend::\w+\s*[=!]=)")
 _BACKEND_SWITCH_RE = re.compile(r"switch\s*\(([^()]|\([^()]*\))*backend")
 
+_BACKEND_SHIM_RE = re.compile(
+    r"\b(?:Parallel)?(?:Paged|Compressed)"
+    r"(?:StaircaseJoin(?:View)?|AxisCursorStep|FilterByTest|TwigJoin)\s*\(")
+
 _DISPATCH_FILE = "src/xpath/backend_dispatch.h"
 
 
 def check_backend_dispatch(rel, code, _literals, allows, findings):
-    if not rel.startswith("src/") or rel == _DISPATCH_FILE:
+    if not rel.startswith("src/"):
+        return
+    for m in _BACKEND_SHIM_RE.finditer(code):
+        _report(findings, allows, rel, line_of(code, m.start()),
+                "backend-dispatch",
+                "per-backend join entry point; run the core/*_impl.h "
+                "kernel through BackendDispatch::Visit instead")
+    if rel == _DISPATCH_FILE:
         return
     for m in _BACKEND_CMP_RE.finditer(code):
         _report(findings, allows, rel, line_of(code, m.start()),
